@@ -1234,10 +1234,9 @@ void run_multifacto(Run<T, ST>& run, bool compressed) {
     PlannerInputs in = planner_inputs(run.sys, cfg);
     in.scalar_bytes = sizeof(ST);  // jobs allocate in factor precision
     job_bytes = multifacto_job_bytes(in, cfg);
-    workers = admissible_inflight(
-        job_bytes, cfg.memory_budget, MemoryTracker::instance().current(),
-        std::min(resolve_threads(cfg.num_threads),
-                 static_cast<int>(jobs.size())));
+    workers = multifacto_inflight(job_bytes, cfg,
+                                  MemoryTracker::instance().current(),
+                                  jobs.size());
   }
 
   if (workers <= 1) {

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/trace.h"
 #include "coupled/coupled.h"
 #include "sparsedirect/multifrontal.h"
@@ -126,6 +127,22 @@ inline int admissible_inflight(std::size_t unit_bytes,
       std::min<std::size_t>(static_cast<std::size_t>(want), units - 1));
 }
 
+/// How many multi-factorization (bi, bj) jobs run at once: one when the
+/// solve is single-threaded or has a single job, else one per worker (at
+/// most one per job) as far as the budget headroom above `resident_bytes`
+/// admits. The executor sizes its worker pool with this count and the
+/// planner charges that many job footprints, so the two cannot disagree.
+inline int multifacto_inflight(std::size_t job_bytes, const Config& cfg,
+                               std::size_t resident_bytes,
+                               std::size_t n_jobs) {
+  const int threads = resolve_threads(cfg.num_threads);
+  if (threads <= 1 || n_jobs <= 1) return 1;
+  return admissible_inflight(
+      job_bytes, cfg.memory_budget, resident_bytes,
+      static_cast<int>(
+          std::min<std::size_t>(static_cast<std::size_t>(threads), n_jobs)));
+}
+
 /// Runtime admission for block-parallel multi-factorization: a worker
 /// acquires a slot before allocating its job's transients. A job is
 /// admitted when it is the only active one (serial progress is always
@@ -181,7 +198,8 @@ class AdmissionController {
 /// BLR keeps ~70% of the factor entries at eps=1e-3 on 3D meshes; an
 /// H-compressed Schur keeps ~25-40% of the dense block at this scale; the
 /// multifrontal transient (fronts + contribution stack) adds ~60% of the
-/// factor size; LU (multi-factorization) duplicates factor storage.
+/// factor size; LU (multi-factorization) duplicates factor storage and
+/// holds one job footprint per concurrently running (bi, bj) job.
 inline std::size_t predict_peak(Strategy s, const PlannerInputs& in,
                                 const Config& cfg) {
   const double b = static_cast<double>(in.scalar_bytes);
@@ -217,12 +235,15 @@ inline std::size_t predict_peak(Strategy s, const PlannerInputs& in,
                                          cfg.rand_max_rank_ratio * ns) * b;
       break;
     case Strategy::kMultiFactorization:
-      peak = base + S_dense +
-             static_cast<double>(multifacto_job_bytes(in, cfg));
-      break;
-    case Strategy::kMultiFactorizationCompressed:
-      peak = base + S_h + static_cast<double>(multifacto_job_bytes(in, cfg));
-      break;
+    case Strategy::kMultiFactorizationCompressed: {
+      const auto resident = static_cast<std::size_t>(
+          base + (s == Strategy::kMultiFactorization ? S_dense : S_h));
+      const std::size_t job = multifacto_job_bytes(in, cfg);
+      const auto n_b = static_cast<std::size_t>(std::max<index_t>(1, cfg.n_b));
+      const auto inflight = static_cast<std::size_t>(
+          multifacto_inflight(job, cfg, resident, n_b * n_b));
+      return resident + inflight * job;
+    }
   }
   return static_cast<std::size_t>(peak);
 }

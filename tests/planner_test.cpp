@@ -58,6 +58,73 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+/// The same band with the worker count pinned, so a host with a single
+/// core also runs the block-parallel multi-factorization path (whose
+/// concurrently running jobs the prediction must charge).
+class PinnedThreadsPredictionSweep : public ::testing::TestWithParam<Strategy> {
+};
+
+TEST_P(PinnedThreadsPredictionSweep, PredictedPeakWithinFactorOfMeasured) {
+  Config cfg;
+  cfg.strategy = GetParam();
+  cfg.n_c = 128;
+  cfg.n_S = 512;
+  cfg.n_b = 2;
+  cfg.num_threads = 4;
+  auto in = planner_inputs(planner_system(), cfg);
+  const std::size_t predicted = predict_peak(cfg.strategy, in, cfg);
+  auto stats = solve_coupled(planner_system(), cfg);
+  ASSERT_TRUE(stats.success);
+  const double ratio =
+      static_cast<double>(predicted) / static_cast<double>(stats.peak_bytes);
+  EXPECT_GT(ratio, 1.0 / 2.5) << "measured " << stats.peak_bytes
+                              << " predicted " << predicted;
+  EXPECT_LT(ratio, 2.5) << "measured " << stats.peak_bytes << " predicted "
+                        << predicted;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FourThreads, PinnedThreadsPredictionSweep,
+    ::testing::Values(Strategy::kMultiFactorization,
+                      Strategy::kMultiFactorizationCompressed),
+    [](const ::testing::TestParamInfo<Strategy>& info) {
+      std::string name = strategy_name(info.param);
+      for (auto& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
+
+TEST(Planner, MultiFactorizationChargesEveryInflightJob) {
+  // No solve: the prediction follows the executor's in-flight job count,
+  // which depends only on the configured worker count and budget.
+  for (Strategy s : {Strategy::kMultiFactorization,
+                     Strategy::kMultiFactorizationCompressed}) {
+    SCOPED_TRACE(strategy_name(s));
+    Config cfg;
+    cfg.n_b = 2;  // 4 jobs
+    auto in = planner_inputs(planner_system(), cfg);
+    const std::size_t job = multifacto_job_bytes(in, cfg);
+    cfg.num_threads = 1;
+    const std::size_t serial = predict_peak(s, in, cfg);
+    cfg.num_threads = 4;
+    EXPECT_EQ(predict_peak(s, in, cfg), serial + 3 * job);
+    // More workers than jobs: still one job per (bi, bj) block at most.
+    cfg.num_threads = 8;
+    EXPECT_EQ(predict_peak(s, in, cfg), serial + 3 * job);
+
+    // admissible_inflight keeps one unit of slack and degrades to a single
+    // job when the headroom above the resident bytes holds <= 2 units.
+    const std::size_t resident = serial - job;
+    cfg.num_threads = 4;
+    cfg.memory_budget = resident + 2 * job;
+    EXPECT_EQ(predict_peak(s, in, cfg), serial);
+    cfg.memory_budget = resident + 3 * job;
+    EXPECT_EQ(predict_peak(s, in, cfg), serial + job);
+    cfg.memory_budget = resident + 4 * job;
+    EXPECT_EQ(predict_peak(s, in, cfg), serial + 2 * job);
+  }
+}
+
 TEST(Planner, RelativeOrderingMatchesMeasurement) {
   // The planner's key qualitative predictions: baseline coupling is the
   // most memory-hungry; the compressed multi-solve the least among the
